@@ -3,7 +3,7 @@ GO ?= go
 # Pinned staticcheck version, matching .github/workflows/ci.yml.
 STATICCHECK_VERSION ?= 2024.1.1
 
-.PHONY: all build vet staticcheck test race docs-lint check ci
+.PHONY: all build vet staticcheck test race docs-lint perfbench-check check ci
 
 all: check
 
@@ -39,6 +39,12 @@ docs-lint:
 # harness.
 race:
 	$(GO) test -race ./internal/rpc/... ./internal/dist/... ./internal/fleet/... ./internal/arbiter/... ./internal/stage/... ./internal/telemetry/... ./internal/core/... ./internal/stats/... ./internal/replay/... ./internal/controlplane/... ./internal/live/... ./internal/benchnet/... ./internal/harness/...
+
+# The repository benchmark is its own module (perfbench/go.mod replaces
+# powerchief with ..), so `go build ./...` above never compiles it. Vet and
+# test it here, so an API change it wraps breaks this target.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # The fleet chaos smoke: a coordinator over three proxied node services,
 # kill one mid-run, assert Σ granted ≤ budget at every epoch plus reclaim
@@ -97,6 +103,6 @@ bench-replay:
 		-policy powerchief,fairness,marginal -json bench-replay.json
 
 # The full local gate: what CI runs.
-check: vet staticcheck build test race docs-lint
+check: vet staticcheck build test race perfbench-check docs-lint
 
 ci: check

@@ -1,11 +1,12 @@
 package dist
 
 import (
+	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"powerchief/internal/cmp"
+	"powerchief/internal/core"
 	"powerchief/internal/fault"
 	"powerchief/internal/rpc"
 	"powerchief/internal/telemetry"
@@ -335,82 +336,30 @@ func (c *Center) readmit(st *remoteStage) error {
 		}
 	}
 
-	const eps = 1e-9
 	// The stage is still quarantined, so Headroom() excludes it: its current
 	// draw must fit in what is left of the budget before it is re-counted.
-	need := st.draw(c.model)
+	fits := func() bool { return st.draw(c.model) <= c.Headroom()+1e-9 }
 
 	// First shed the returning stage's own levels — its old DVFS state may
-	// reflect boosts whose power the survivors have since absorbed.
-	for need > c.Headroom()+eps {
-		in := st.highestInstance()
-		if in == nil || in.Level() == 0 {
-			break
-		}
-		if err := st.client.CallDeadline(MethodSetLevel,
-			SetLevelArgs{Instance: in.Name(), Level: in.Level() - 1}, nil, c.opts.CallTimeout); err != nil {
-			return fmt.Errorf("dist: readmit lowering %s: %w", in.Name(), err)
-		}
-		in.mu.Lock()
-		in.level--
-		in.mu.Unlock()
-		need = st.draw(c.model)
+	// reflect boosts whose power the survivors have since absorbed. A stage
+	// already at level 0 throughout falls through to the survivors.
+	if err := core.ShedLevels(st.Instances(), fits); err != nil && !errors.Is(err, cmp.ErrBudgetExceeded) {
+		return fmt.Errorf("dist: readmit of %s: %w", st.name, err)
 	}
 
-	// Still over: the survivors were boosted with the reclaimed watts; take
-	// them back, fastest path first (highest levels donate the most).
-	for need > c.Headroom()+eps {
-		donor := c.highestSurvivorInstance(st)
-		if donor == nil {
-			return fmt.Errorf("dist: readmit of %s needs %.2fW but only %.2fW can be freed",
-				st.name, float64(need), float64(c.Headroom()))
-		}
-		// Lowering frequency never exceeds the budget.
-		if err := donor.SetLevel(donor.Level() - 1); err != nil {
-			return fmt.Errorf("dist: readmit deboosting %s: %w", donor.Name(), err)
-		}
+	// Still over: the survivors (Stages() excludes the quarantined returnee)
+	// were boosted with the reclaimed watts; take them back, highest level
+	// first. Lowering frequency never exceeds the budget.
+	var survivors []core.Instance
+	for _, s := range c.Stages() {
+		survivors = append(survivors, s.Instances()...)
+	}
+	if err := core.ShedLevels(survivors, fits); err != nil {
+		return fmt.Errorf("dist: readmit of %s needs %.2fW, headroom %.2fW: %w",
+			st.name, float64(st.draw(c.model)), float64(c.Headroom()), err)
 	}
 
 	st.setHealth(Healthy)
-	return nil
-}
-
-// highestInstance returns the snapshot instance at the highest level, or nil.
-func (st *remoteStage) highestInstance() *remoteInstance {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	var best *remoteInstance
-	for _, in := range st.snapshot {
-		if best == nil || in.level > best.level {
-			best = in
-		}
-	}
-	return best
-}
-
-// highestSurvivorInstance returns the healthy-stage instance (excluding
-// exclude) with the highest level above the floor, or nil when nothing can
-// donate.
-func (c *Center) highestSurvivorInstance(exclude *remoteStage) *remoteInstance {
-	c.mu.Lock()
-	stages := make([]*remoteStage, len(c.stages))
-	copy(stages, c.stages)
-	c.mu.Unlock()
-	var donors []*remoteInstance
-	for _, st := range stages {
-		if st == exclude || st.quarantined() {
-			continue
-		}
-		st.mu.Lock()
-		donors = append(donors, st.snapshot...)
-		st.mu.Unlock()
-	}
-	sort.Slice(donors, func(i, j int) bool { return donors[i].Level() > donors[j].Level() })
-	for _, in := range donors {
-		if in.Level() > 0 {
-			return in
-		}
-	}
 	return nil
 }
 

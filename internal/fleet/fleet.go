@@ -330,10 +330,11 @@ func (c *Coordinator) Adjust(policy core.Policy) (core.BoostOutcome, error) {
 }
 
 // tryReadmit probes a quarantined node and, when it answers, re-admits it
-// budget-safely: survivors are shaved down — richest first, never below the
-// floor — until the floor grant fits the headroom, and only then does the
-// returning node get a watt. A node that answers with a pre-reclamation
-// epoch is counted as fenced; the probe proves liveness, nothing more.
+// budget-safely: core.ReclaimFloor shaves the survivors down — richest
+// first, never below the floor — until the floor grant fits the headroom,
+// and only then does the returning node get a watt. A node that answers
+// with a pre-reclamation epoch is counted as fenced; the probe proves
+// liveness, nothing more.
 func (c *Coordinator) tryReadmit(n *nodeState) {
 	rep, err := n.t.Report()
 	if err != nil {
@@ -351,36 +352,16 @@ func (c *Coordinator) tryReadmit(n *nodeState) {
 	c.setHealth(n, fault.Recovering)
 
 	floor := c.opts.Floor
-	for attempts := 0; ; attempts++ {
-		c.mu.Lock()
-		headroom := c.opts.Budget - c.drawLocked()
-		if headroom+1e-9 >= floor {
-			c.mu.Unlock()
-			break
+	c.mu.Lock()
+	var donors []*nodeState
+	for _, m := range c.nodes {
+		if m != n && (m.health == fault.Healthy || m.health == fault.Suspect) {
+			donors = append(donors, m)
 		}
-		var donor *nodeState
-		if attempts <= len(c.nodes) {
-			for _, m := range c.nodes {
-				if m == n || (m.health != fault.Healthy && m.health != fault.Suspect) {
-					continue
-				}
-				if m.granted > floor+1e-9 && (donor == nil || m.granted > donor.granted) {
-					donor = m
-				}
-			}
-		}
-		if donor == nil {
-			c.mu.Unlock()
-			return // no room this epoch; stay Recovering, retry next epoch
-		}
-		target := donor.granted - (floor - headroom)
-		if target < floor {
-			target = floor
-		}
-		c.mu.Unlock()
-		if err := donor.SetBudget(target); err != nil {
-			continue // the donor just failed its own grant; try another
-		}
+	}
+	c.mu.Unlock()
+	if core.ReclaimFloor(donors, c.Headroom, floor, floor) != nil {
+		return // no room this epoch; stay Recovering, retry next epoch
 	}
 
 	if err := n.SetBudget(floor); err != nil {

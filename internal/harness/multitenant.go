@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"time"
 
 	"powerchief/internal/app"
@@ -241,34 +240,25 @@ func (r *tenantRun) appMetric() (time.Duration, []arbiter.StageMetric) {
 }
 
 // shedToGrant makes a lowered grant physical on a tenant's chip partition:
-// it steps the highest-level instances down (the richest-donor order
-// live.Cluster uses) until the draw fits the new grant, then re-sets the
-// chip budget. An unshedable cut — every instance already at the ladder
-// floor — is an error, which the executor turns into a plan rollback: the
-// arbiter must not starve a tenant below its minimum draw. Raised grants
-// only lift the chip budget; spending the new headroom is deliberately
-// left to the tenant's own PowerChief loop, which knows whether the next
-// watt is worth more as a frequency step or an instance boost (the paper's
-// Fig. 4 finding: at high load, instances beat frequency). The scenario's
-// arbiter floor bounds how deep a cut can go, so an idle tenant is never
-// more than a few frequency steps below base when load returns.
+// core.ShedLevels steps the highest-level instances down until the draw
+// fits the new grant, then the chip budget is re-set. An unshedable cut —
+// every instance already at the ladder floor — is an error, which the
+// executor turns into a plan rollback: the arbiter must not starve a tenant
+// below its minimum draw. Raised grants only lift the chip budget; spending
+// the new headroom is deliberately left to the tenant's own PowerChief
+// loop, which knows whether the next watt is worth more as a frequency step
+// or an instance boost (the paper's Fig. 4 finding: at high load, instances
+// beat frequency). The scenario's arbiter floor bounds how deep a cut can
+// go, so an idle tenant is never more than a few frequency steps below base
+// when load returns.
 func shedToGrant(sys *stage.System, chip *cmp.Chip, w cmp.Watts) error {
-	for chip.Draw() > w+1e-9 {
-		var best *stage.Instance
-		for _, st := range sys.Stages() {
-			for _, in := range st.Active() {
-				if best == nil || in.Level() > best.Level() {
-					best = in
-				}
-			}
-		}
-		if best == nil || best.Level() == 0 {
-			return fmt.Errorf("harness: grant %.2fW below minimum draw %.2fW: %w",
-				float64(w), float64(chip.Draw()), cmp.ErrBudgetExceeded)
-		}
-		if err := best.SetLevel(best.Level() - 1); err != nil {
-			return err
-		}
+	var insts []*stage.Instance
+	for _, st := range sys.Stages() {
+		insts = append(insts, st.Active()...)
+	}
+	if err := core.ShedLevels(insts, func() bool { return chip.Draw() <= w+1e-9 }); err != nil {
+		return fmt.Errorf("harness: shedding to a %.2fW grant (draw %.2fW): %w",
+			float64(w), float64(chip.Draw()), err)
 	}
 	return chip.SetBudget(w)
 }
@@ -297,9 +287,10 @@ func evictTenant(r *tenantRun, root *core.BudgetDomain, model cmp.PowerModel) (c
 
 // admitTenant re-admits an evicted tenant: a fresh child domain with a
 // grant of at least the scenario floor (or the parked partition's draw, if
-// instance boosts grew it past the floor), reclaimed from the richest
-// running tenants when the arbiter has granted the headroom away, and a
-// fresh control loop on the shared group. The caller resumes arrivals.
+// instance boosts grew it past the floor), reclaimed by core.ReclaimFloor
+// from the richest running tenants when the arbiter has granted the
+// headroom away, and a fresh control loop on the shared group. The caller
+// resumes arrivals.
 func admitTenant(r *tenantRun, root *core.BudgetDomain, group *controlplane.Group,
 	model cmp.PowerModel, floor cmp.Watts, audit *telemetry.AuditLog) (cmp.Watts, error) {
 	if !r.evicted {
@@ -309,7 +300,7 @@ func admitTenant(r *tenantRun, root *core.BudgetDomain, group *controlplane.Grou
 	if d := r.chip.Draw(); d > grant {
 		grant = d
 	}
-	if err := reclaimHeadroom(root, grant, floor); err != nil {
+	if err := core.ReclaimFloor(root.Children(), root.Headroom, grant, floor); err != nil {
 		return 0, fmt.Errorf("re-admitting tenant %q: %w", r.spec.Name, err)
 	}
 	dom, err := root.NewChild(r.spec.Name, grant, func(w cmp.Watts) error {
@@ -342,41 +333,6 @@ func admitTenant(r *tenantRun, root *core.BudgetDomain, group *controlplane.Grou
 		return 0, fmt.Errorf("tenant %q loop: %w", r.spec.Name, err)
 	}
 	return grant, nil
-}
-
-// reclaimHeadroom makes room for a re-admission: when the arbiter has
-// granted the evicted tenant's watts away, the richest running tenants are
-// cut toward the floor — richest first, never below it — until the root's
-// headroom covers the grant. This is the floor re-admission guarantee: the
-// floor bounds both how deep a running tenant can be cut and how much a
-// returning one is owed, so a hierarchy whose floors fit the budget can
-// always take an evicted tenant back.
-func reclaimHeadroom(root *core.BudgetDomain, grant, floor cmp.Watts) error {
-	children := root.Children()
-	sort.Slice(children, func(i, j int) bool { return children[i].Budget() > children[j].Budget() })
-	for _, c := range children {
-		need := grant - root.Headroom()
-		if need <= 1e-9 {
-			return nil
-		}
-		cut := c.Budget() - floor
-		if cut <= 0 {
-			continue
-		}
-		if cut > need {
-			cut = need
-		}
-		if err := c.SetBudget(c.Budget() - cut); err != nil {
-			// An unshedable cut — the donor's partition has grown past what
-			// the lowered grant can power — just moves to the next donor.
-			continue
-		}
-	}
-	if hr := root.Headroom(); hr < grant-1e-9 {
-		return fmt.Errorf("headroom %.2fW cannot cover the %.2fW floor re-admission",
-			float64(hr), float64(grant))
-	}
-	return nil
 }
 
 // tenantArbiterView is the arbiter's view of the root domain: the budget

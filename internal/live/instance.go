@@ -100,10 +100,17 @@ func (in *Instance) Level() cmp.Level {
 func (in *Instance) SetLevel(l cmp.Level) error {
 	in.stage.cluster.mu.Lock()
 	defer in.stage.cluster.mu.Unlock()
-	if in.retired {
-		return nil
-	}
-	if l == in.level {
+	return (*heldInstance)(in).SetLevel(l)
+}
+
+// heldInstance is an Instance's DVFS surface for a caller already holding
+// cluster.mu — Cluster.SetBudget's shed.
+type heldInstance Instance
+
+func (in *heldInstance) Level() cmp.Level { return in.level }
+
+func (in *heldInstance) SetLevel(l cmp.Level) error {
+	if in.retired || l == in.level {
 		return nil
 	}
 	if err := in.stage.cluster.chip.SetLevel(in.core, l); err != nil {

@@ -121,35 +121,26 @@ func (c *Cluster) Budget() cmp.Watts { return c.chip.Budget() }
 
 // SetBudget re-grants the cluster's local power budget — the actuation a
 // fleet coordinator's SetBudgetAction lands on. A lowered budget sheds load
-// first: the highest-level instances are stepped down (the same
-// richest-donor order the re-admission path uses) until the draw fits, then
-// the chip budget is set, so the call never leaves the chip over-budget.
+// first: core.ShedLevels steps the highest-level instances down until the
+// draw fits, then the chip budget is set, so the call never leaves the chip
+// over-budget. The whole shed runs under c.mu.
 func (c *Cluster) SetBudget(w cmp.Watts) error {
 	if w < 0 {
 		return fmt.Errorf("live: negative budget %.2fW", float64(w))
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for c.chip.Draw() > w+1e-9 {
-		var best *Instance
-		for _, st := range c.stages {
-			for _, in := range st.instances {
-				if in.retired {
-					continue
-				}
-				if best == nil || in.level > best.level {
-					best = in
-				}
+	var insts []*heldInstance
+	for _, st := range c.stages {
+		for _, in := range st.instances {
+			if !in.retired {
+				insts = append(insts, (*heldInstance)(in))
 			}
 		}
-		if best == nil || best.level == 0 {
-			return fmt.Errorf("live: budget %.2fW below minimum draw %.2fW: %w",
-				float64(w), float64(c.chip.Draw()), cmp.ErrBudgetExceeded)
-		}
-		if err := c.chip.SetLevel(best.core, best.level-1); err != nil {
-			return err
-		}
-		best.level--
+	}
+	if err := core.ShedLevels(insts, func() bool { return c.chip.Draw() <= w+1e-9 }); err != nil {
+		return fmt.Errorf("live: shedding to a %.2fW budget (draw %.2fW): %w",
+			float64(w), float64(c.chip.Draw()), err)
 	}
 	return c.chip.SetBudget(w)
 }
