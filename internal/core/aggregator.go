@@ -135,7 +135,7 @@ func (a *Aggregator) shard(name string) *instShard {
 
 // Ingest folds a completed query's records into the statistics. It is the
 // OnComplete callback of the service system, called concurrently from the
-// completing instances' goroutines in the live and distributed engines;
+// goroutines that complete queries in the live and distributed engines;
 // only records for the same instance contend with each other. Timestamps
 // are clamped per shard: goroutines read the clock before reaching a shard
 // lock, so slight reordering must not poison the windows.

@@ -85,47 +85,16 @@ func auditWithdraw(a *telemetry.AuditLog, now time.Duration, stage, victim, targ
 	})
 }
 
-// recycle runs the engine's recycler and, when auditing, records the pass
-// with the per-donor level steps and watts freed. Donor levels are
-// snapshotted around the call because the recycler reports only the total.
-//
-// Against a PlanView the pass only marks a recycle span on the plan — the
-// Executor emits the grouped event once the donor steps actually apply.
+// recycle runs the engine's recycler. Against a PlanView the pass also
+// marks a recycle span on the plan — the Executor emits the grouped recycle
+// event once the donor steps actually apply.
 func (e Engine) recycle(sys System, model cmp.PowerModel, donors []Instance, need cmp.Watts) cmp.Watts {
-	if pv, ok := sys.(*PlanView); ok {
-		start := pv.beginRecycle()
-		recycled := e.Recycler.Recycle(model, donors, need)
-		pv.endRecycle(start, recycled)
-		return recycled
-	}
-	if !e.Audit.Enabled() {
+	pv, ok := sys.(*PlanView)
+	if !ok {
 		return e.Recycler.Recycle(model, donors, need)
 	}
-	before := make([]cmp.Level, len(donors))
-	for i, d := range donors {
-		before[i] = d.Level()
-	}
+	start := pv.beginRecycle()
 	recycled := e.Recycler.Recycle(model, donors, need)
-	if recycled <= 0 {
-		return recycled
-	}
-	var ds []telemetry.Donor
-	for i, d := range donors {
-		if l := d.Level(); l != before[i] {
-			ds = append(ds, telemetry.Donor{
-				Instance:   d.Name(),
-				FromLevel:  int(before[i]),
-				ToLevel:    int(l),
-				FreedWatts: float64(model.Power(before[i]) - model.Power(l)),
-			})
-		}
-	}
-	e.Audit.Record(telemetry.Event{
-		Time:          sys.Now(),
-		Kind:          telemetry.EventRecycle,
-		RecycledWatts: float64(recycled),
-		HeadroomWatts: float64(sys.Headroom()),
-		Donors:        ds,
-	})
+	pv.endRecycle(start, recycled)
 	return recycled
 }

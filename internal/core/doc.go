@@ -8,7 +8,7 @@
 //
 // The decision code acts through the narrow Instance/StageControl/System
 // interfaces below, so the identical policies drive the discrete-event
-// engine, the live goroutine engine and the distributed RPC prototype.
+// engine, the wall-paced live engine and the distributed RPC prototype.
 //
 // Entry points: NewAggregator turns query-carried latency records into the
 // windowed per-instance statistics of §4.2 — record by record (Ingest) or

@@ -122,7 +122,6 @@ func (*FreqBoost) Name() string { return "freq-boost" }
 // SetAudit implements AuditSetter.
 func (f *FreqBoost) SetAudit(a *telemetry.AuditLog) {
 	f.audit = a
-	f.engine.Audit = a
 }
 
 // Plan implements Planner.
@@ -165,7 +164,6 @@ func (*InstBoost) Name() string { return "inst-boost" }
 // SetAudit implements AuditSetter.
 func (i *InstBoost) SetAudit(a *telemetry.AuditLog) {
 	i.audit = a
-	i.engine.Audit = a
 }
 
 // Plan implements Planner.
@@ -216,7 +214,6 @@ func (*PowerChief) Name() string { return "powerchief" }
 // SetAudit implements AuditSetter.
 func (p *PowerChief) SetAudit(a *telemetry.AuditLog) {
 	p.audit = a
-	p.engine.Audit = a
 }
 
 // Plan implements Planner: the adaptive boosting decision (identify, then

@@ -127,7 +127,6 @@ type PowerChiefSaver struct {
 	Relaunched int
 
 	cooldown int // intervals left before withdraws may resume
-	engine   Engine
 	audit    *telemetry.AuditLog
 	tapHolder
 }
@@ -146,7 +145,6 @@ func (*PowerChiefSaver) Name() string { return "powerchief" }
 // SetAudit implements AuditSetter.
 func (s *PowerChiefSaver) SetAudit(a *telemetry.AuditLog) {
 	s.audit = a
-	s.engine.Audit = a
 }
 
 // Plan implements Planner: one conservation interval decided against a

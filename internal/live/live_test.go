@@ -190,7 +190,10 @@ func TestControllerDrivesPolicy(t *testing.T) {
 	ctl := StartController(c, agg, policy, 5*time.Second)
 	defer ctl.Stop()
 
-	// Overload stage A so the controller has a bottleneck to boost.
+	// Overload stage A by construction, so the controller has a bottleneck
+	// to boost: each burst of 40 queries brings 4.8 virtual seconds of
+	// stage-A work, far more than the ≈0.1-1 virtual seconds a 1 ms wall
+	// sleep lasts even under -race.
 	var done atomic.Uint64
 	c.OnComplete(func(q *query.Query) { done.Add(1) })
 	for i := 0; i < 400; i++ {
@@ -198,7 +201,9 @@ func TestControllerDrivesPolicy(t *testing.T) {
 		if err := c.Submit(q); err != nil {
 			t.Fatal(err)
 		}
-		time.Sleep(500 * time.Microsecond) // ≈50 virtual ms between arrivals
+		if i%40 == 39 {
+			time.Sleep(time.Millisecond)
+		}
 	}
 	waitFor(t, 20*time.Second, func() bool { return done.Load() == 400 })
 	acted := false

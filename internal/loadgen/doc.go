@@ -8,7 +8,7 @@
 //     start offset before the run begins, deterministically per seed, so the
 //     arrival process can never be back-pressured by a slow target.
 //   - Target abstracts what is being driven: LiveTarget (the in-process
-//     goroutine engine), DESTarget (the discrete-event simulator, for
+//     wall-paced engine), DESTarget (the discrete-event simulator, for
 //     cross-validation — it replays the schedule in virtual time via
 //     Preparer/SelfPacing), and DistTarget (the distributed runtime over
 //     internal/rpc, whose deadline/retry client turns hung stages into

@@ -55,19 +55,35 @@ func writeFrame(w io.Writer, v any) error {
 	return err
 }
 
+// frameChunk caps the payload buffer readFrame commits before the bytes
+// arrive. A header may claim up to MaxMessageSize, but the buffer only
+// doubles as the peer actually delivers, so a 4-byte header cannot make
+// the reader allocate 16 MiB.
+const frameChunk = 64 << 10
+
 // readFrame reads one length-prefixed JSON document into v.
 func readFrame(r io.Reader, v any) error {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxMessageSize {
-		return fmt.Errorf("rpc: frame of %d bytes exceeds limit", n)
+	size := binary.BigEndian.Uint32(hdr[:])
+	if size > MaxMessageSize {
+		return fmt.Errorf("rpc: frame of %d bytes exceeds limit", size)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return err
+	n := int(size)
+	payload := make([]byte, min(n, frameChunk))
+	for off := 0; ; {
+		if _, err := io.ReadFull(r, payload[off:]); err != nil {
+			if err == io.EOF && off > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
+		}
+		if off = len(payload); off == n {
+			break
+		}
+		payload = append(payload, make([]byte, min(n-off, off))...)
 	}
 	return json.Unmarshal(payload, v)
 }
@@ -410,6 +426,12 @@ func (c *Client) fail(gen int, err error) {
 	if gen != c.gen || c.err != nil {
 		return
 	}
+	c.failLocked(err)
+}
+
+// failLocked records err as the client error and aborts every pending call
+// with it; the caller holds c.mu.
+func (c *Client) failLocked(err error) {
 	c.err = err
 	for id, ch := range c.pending {
 		delete(c.pending, id)
@@ -502,17 +524,17 @@ func (c *Client) CallDeadline(method string, params any, result any, timeout tim
 }
 
 // Close tears the connection down, failing pending calls. The client cannot
-// be redialed afterwards.
+// be redialed afterwards. ErrClosed is recorded before the connection closes,
+// so the read loop's ErrBroken cannot land first and every later call
+// reports ErrClosed.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	c.closed = true
-	gen := c.gen
+	c.failLocked(ErrClosed)
 	conn := c.conn
 	c.mu.Unlock()
-	var err error
-	if conn != nil {
-		err = conn.Close()
+	if conn == nil {
+		return nil
 	}
-	c.fail(gen, ErrClosed)
-	return err
+	return conn.Close()
 }

@@ -83,6 +83,15 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // yet discarded).
 func (e *Engine) Pending() int { return len(e.queue) }
 
+// Next reports the virtual time of the next pending event; ok is false when
+// none is queued. A wall-clock pacer sleeps until this instant.
+func (e *Engine) Next() (at time.Duration, ok bool) {
+	if len(e.queue) == 0 {
+		return 0, false
+	}
+	return e.queue[0].at, true
+}
+
 // Schedule queues fn to run after delay of virtual time. A negative delay is
 // treated as zero (fire as soon as possible, after already-queued events at
 // the current instant). The returned Event may be cancelled or rescheduled.

@@ -82,6 +82,29 @@ func TestCancel(t *testing.T) {
 	}
 }
 
+func TestNextPeeksEarliestPendingEvent(t *testing.T) {
+	e := NewEngine()
+	if _, ok := e.Next(); ok {
+		t.Fatal("Next on an empty engine reported an event")
+	}
+	late := e.Schedule(5*time.Second, func() {})
+	early := e.Schedule(2*time.Second, func() {})
+	if at, ok := e.Next(); !ok || at != 2*time.Second {
+		t.Fatalf("Next = %v, %v; want 2s, true", at, ok)
+	}
+	e.Cancel(early)
+	if at, ok := e.Next(); !ok || at != 5*time.Second {
+		t.Fatalf("Next after cancel = %v, %v; want 5s, true", at, ok)
+	}
+	e.Reschedule(late, time.Second)
+	if at, _ := e.Next(); at != time.Second {
+		t.Fatalf("Next after reschedule = %v, want 1s", at)
+	}
+	if e.Fired() != 0 || e.Now() != 0 {
+		t.Fatal("Next advanced the engine")
+	}
+}
+
 func TestCancelFiredEventIsNoop(t *testing.T) {
 	e := NewEngine()
 	ev := e.Schedule(time.Second, func() {})

@@ -32,11 +32,13 @@ type Instance struct {
 	level   cmp.Level
 	boosted bool // launched by an instance boost (clone)
 
-	queue      []queued
-	serving    *queued
+	queue      []queued // FIFO; the waiting queries are queue[head:]
+	head       int
+	serving    queued // the in-flight query; serving.q is nil when idle
 	serveStart time.Duration
 	serveEnd   *sim.Event
 	endAt      time.Duration // scheduled completion time of the in-flight query
+	completeFn func()        // in.complete, bound once so scheduling it does not allocate
 
 	busy   *stats.BusyTracker
 	served uint64
@@ -54,6 +56,7 @@ func newInstance(st *Stage, name string, branch int, core cmp.CoreID, level cmp.
 		level:  level,
 		busy:   stats.NewBusyTracker(),
 	}
+	in.completeFn = in.complete
 	// The utilization epoch starts at creation: a freshly cloned instance
 	// must not look idle for the part of the withdraw interval that
 	// predates it.
@@ -82,12 +85,15 @@ func (in *Instance) Power() cmp.Watts { return in.stage.sys.chip.Model().Power(i
 // QueueLen returns the realtime load: queued queries plus the one in
 // service. This is the L of the paper's latency metric (Equation 1).
 func (in *Instance) QueueLen() int {
-	n := len(in.queue)
-	if in.serving != nil {
+	n := len(in.queue) - in.head
+	if in.serving.q != nil {
 		n++
 	}
 	return n
 }
+
+// waiting returns the queued queries, oldest first.
+func (in *Instance) waiting() []queued { return in.queue[in.head:] }
 
 // Served returns the number of queries this instance completed.
 func (in *Instance) Served() uint64 { return in.served }
@@ -114,24 +120,32 @@ func (in *Instance) enqueue(q *query.Query) {
 	if in.retired {
 		panic(fmt.Sprintf("stage: enqueue on retired instance %s", in.name))
 	}
+	if len(in.queue) == cap(in.queue) && in.head >= len(in.queue)/2 {
+		// Reclaim the served prefix rather than grow the array.
+		n := copy(in.queue, in.queue[in.head:])
+		clear(in.queue[n:])
+		in.queue, in.head = in.queue[:n], 0
+	}
 	in.queue = append(in.queue, queued{q: q, enter: in.stage.sys.eng.Now()})
 	in.maybeStart()
 }
 
 // maybeStart begins serving the head of the queue when the instance is idle.
 func (in *Instance) maybeStart() {
-	if in.serving != nil || len(in.queue) == 0 || in.retired {
+	if in.serving.q != nil || in.head == len(in.queue) || in.retired {
 		return
 	}
-	item := in.queue[0]
-	in.queue = in.queue[1:]
-	in.serving = &item
+	in.serving = in.queue[in.head]
+	in.queue[in.head] = queued{}
+	if in.head++; in.head == len(in.queue) {
+		in.queue, in.head = in.queue[:0], 0
+	}
 	now := in.stage.sys.eng.Now()
 	in.serveStart = now
 	in.busy.SetBusy(now)
-	d := in.serveTime(item.q)
+	d := in.serveTime(in.serving.q)
 	in.endAt = now + d
-	in.serveEnd = in.stage.sys.eng.Schedule(d, in.complete)
+	in.serveEnd = in.stage.sys.eng.Schedule(d, in.completeFn)
 }
 
 // serveTime maps the query's intrinsic demand to wall time at the current
@@ -150,11 +164,11 @@ func (in *Instance) serveTime(q *query.Query) time.Duration {
 // stage, and pull the next query.
 func (in *Instance) complete() {
 	item := in.serving
-	if item == nil {
+	if item.q == nil {
 		panic(fmt.Sprintf("stage: completion on idle instance %s", in.name))
 	}
 	now := in.stage.sys.eng.Now()
-	in.serving = nil
+	in.serving = queued{}
 	in.serveEnd = nil
 	in.served++
 
@@ -170,10 +184,10 @@ func (in *Instance) complete() {
 	}
 	item.q.Append(rec)
 
-	if len(in.queue) == 0 {
+	if in.head == len(in.queue) {
 		in.busy.SetIdle(now)
 	}
-	if in.draining && in.serving == nil && len(in.queue) == 0 {
+	if in.draining && in.head == len(in.queue) {
 		in.finalizeWithdraw()
 	} else {
 		in.maybeStart()
@@ -198,7 +212,7 @@ func (in *Instance) SetLevel(l cmp.Level) error {
 	}
 	old := in.level
 	in.level = l
-	if in.serving != nil {
+	if in.serving.q != nil {
 		now := in.stage.sys.eng.Now()
 		remaining := in.endAt - now
 		if remaining < 0 {
@@ -216,7 +230,7 @@ func (in *Instance) SetLevel(l cmp.Level) error {
 // finalizeWithdraw releases the instance's core and detaches it from the
 // stage. Only reachable when the instance is idle and draining.
 func (in *Instance) finalizeWithdraw() {
-	if in.serving != nil || len(in.queue) != 0 {
+	if in.QueueLen() != 0 {
 		panic(fmt.Sprintf("stage: finalizeWithdraw on busy instance %s", in.name))
 	}
 	in.retired = true

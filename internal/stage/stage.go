@@ -66,7 +66,8 @@ type Stage struct {
 	spec       Spec
 	instances  []*Instance
 	dispatcher Dispatcher
-	seq        int // instance name sequence, monotonically increasing
+	seq        int         // instance name sequence, monotonically increasing
+	admitBuf   []*Instance // admit's reusable list of active instances
 }
 
 // Name returns the stage name.
@@ -110,19 +111,20 @@ func (st *Stage) SetDispatcher(d Dispatcher) {
 
 // admit routes an incoming query into the stage.
 func (st *Stage) admit(q *query.Query) {
+	active := st.admitBuf[:0]
+	for _, in := range st.instances {
+		if !in.draining {
+			active = append(active, in)
+		}
+	}
+	st.admitBuf = active
+	if len(active) == 0 {
+		panic(fmt.Sprintf("stage %s: no active instance to serve query %d", st.spec.Name, q.ID))
+	}
 	switch st.spec.Kind {
 	case Pipeline:
-		active := st.Active()
-		if len(active) == 0 {
-			panic(fmt.Sprintf("stage %s: no active instance to serve query %d", st.spec.Name, q.ID))
-		}
-		in := st.dispatcher.Pick(active)
-		in.enqueue(q)
+		st.dispatcher.Pick(active).enqueue(q)
 	case FanOut:
-		active := st.Active()
-		if len(active) == 0 {
-			panic(fmt.Sprintf("stage %s: no active instance to serve query %d", st.spec.Name, q.ID))
-		}
 		q.SetPending(len(active))
 		for _, in := range active {
 			in.enqueue(q)
@@ -179,11 +181,11 @@ func (st *Stage) Clone(src *Instance) (*Instance, error) {
 	// with the queries so queuing time is still measured from the original
 	// enqueue.
 	n := len(src.queue)
-	steal := n / 2
+	steal := (n - src.head) / 2
 	if steal > 0 {
-		moved := src.queue[n-steal:]
+		in.queue = append(in.queue, src.queue[n-steal:]...)
+		clear(src.queue[n-steal:])
 		src.queue = src.queue[:n-steal]
-		in.queue = append(in.queue, moved...)
 		in.maybeStart()
 	}
 	return in, nil
@@ -216,15 +218,15 @@ func (st *Stage) Withdraw(in *Instance, target *Instance) error {
 	}
 	in.draining = true
 	// Redirect queued load.
-	if len(in.queue) > 0 {
+	if waiting := in.waiting(); len(waiting) > 0 {
 		if target == nil || target == in || target.draining {
 			target = st.dispatcher.Pick(st.Active())
 		}
-		target.queue = append(target.queue, in.queue...)
-		in.queue = nil
+		target.queue = append(target.queue, waiting...)
+		in.queue, in.head = nil, 0
 		target.maybeStart()
 	}
-	if in.serving == nil {
+	if in.serving.q == nil {
 		in.finalizeWithdraw()
 	}
 	return nil

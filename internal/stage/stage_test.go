@@ -542,3 +542,33 @@ func TestInstanceAccessors(t *testing.T) {
 		t.Error("Level() mismatch")
 	}
 }
+
+// TestQueueStaysFIFOWhileGrowing keeps an instance overloaded (arrivals
+// every second, 1.5 s of work each) so its queue grows while the head
+// advances, reclaiming the served prefix along the way: every query must
+// still be served exactly once, in arrival order, and the queue's array
+// must stay within a constant factor of the backlog it holds.
+func TestQueueStaysFIFOWhileGrowing(t *testing.T) {
+	eng, sys := newSys(t, oneStage("A", 1, flat))
+	const n = 500
+	qs := make([]*query.Query, n)
+	for i := range qs {
+		qs[i] = submitAt(eng, sys, query.ID(i), time.Duration(i)*time.Second, 1500*time.Millisecond)
+	}
+	in := sys.Stage("A").Instances()[0]
+	eng.RunUntil(time.Duration(n-1) * time.Second)
+	if backlog := in.QueueLen(); cap(in.queue) > 4*backlog {
+		t.Errorf("queue capacity %d for a backlog of %d", cap(in.queue), backlog)
+	}
+	eng.Run()
+	var last time.Duration
+	for i, q := range qs {
+		if len(q.Records) != 1 {
+			t.Fatalf("query %d has %d records", i, len(q.Records))
+		}
+		if start := q.Records[0].ServeStart; start < last {
+			t.Fatalf("query %d served at %v, before its predecessor at %v", i, start, last)
+		}
+		last = q.Records[0].ServeStart
+	}
+}

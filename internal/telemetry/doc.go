@@ -7,7 +7,7 @@
 // Prometheus-text and JSON exporters served over HTTP.
 //
 // The package depends only on the query structure and the standard library,
-// so every engine (discrete-event, live goroutine, distributed RPC) and the
+// so every engine (discrete-event, wall-paced live, distributed RPC) and the
 // Command Center itself can feed it without import cycles.
 //
 // Everything is disabled-by-default and nil-safe: a nil *AuditLog or nil

@@ -25,7 +25,7 @@
 //     fleet re-granting share one planner)
 //   - internal/workload Poisson/trace load generation
 //   - internal/harness  scenario runner and per-figure experiment drivers
-//   - internal/live     real-time goroutine engine (same policies)
+//   - internal/live     the DES paced to the wall clock (same policies)
 //   - internal/rpc      minimal JSON-RPC used by the distributed prototype
 //
 // # Quick start
